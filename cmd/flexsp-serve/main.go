@@ -29,11 +29,12 @@
 //	GET  /healthz             liveness (503 while draining)
 //
 // Admission control answers overflow with 429: -queue bounds admitted
-// requests, -tenant-limit bounds each tenant label. -batch-window sets how
-// long the first request for a signature waits for identical requests to
-// coalesce with. On SIGTERM/SIGINT the daemon drains gracefully: /healthz
-// flips to 503, new plan requests are refused, and in-flight solves finish
-// (up to -drain-timeout) before exit.
+// requests, -tenant-limit bounds each tenant label. Identical requests that
+// arrive while a solve for them is in flight join it; -batch-window (default
+// 0) additionally holds the first request that long before solving, so
+// near-simultaneous requests coalesce too. On SIGTERM/SIGINT the daemon
+// drains gracefully: /healthz flips to 503, new plan requests are refused,
+// and in-flight solves finish (up to -drain-timeout) before exit.
 //
 // Elastic planning is on by default (-elastic=false pins the boot fleet):
 // topology events posted to /v2/topology trigger a debounced background
@@ -78,7 +79,7 @@ func run() int {
 	trials := flag.Int("trials", 0, "Alg. 1 micro-batch-count trials (0 = default)")
 	queue := flag.Int("queue", 64, "max admitted requests before 429")
 	tenantLimit := flag.Int("tenant-limit", 16, "max concurrent requests per tenant before 429")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "coalescing window for identical requests (negative disables)")
+	batchWindow := flag.Duration("batch-window", 0, "extra wait before solving for identical requests to coalesce (requests arriving during a solve always join it)")
 	cacheEntries := flag.Int("cache", 4096, "plan cache entries")
 	cacheGranularity := flag.Int("granularity", 256, "plan cache rounding granularity, tokens")
 	streamLimit := flag.Int("stream-limit", 64, "max concurrently open streaming sessions before 429")

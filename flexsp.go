@@ -135,8 +135,9 @@ type ServeConfig struct {
 	// TenantLimit bounds concurrent requests per tenant label (default 16).
 	TenantLimit int
 	// BatchWindow is how long the first request for a batch signature waits
-	// for identical requests to coalesce with before solving (default 2ms;
-	// negative disables the wait, leaving pure singleflight).
+	// for identical requests to coalesce with before solving. Zero (the
+	// default) adds no wait: identical requests still coalesce while a
+	// solve for them is in flight.
 	BatchWindow time.Duration
 	// CacheEntries and CacheGranularity size the shared plan cache the
 	// server attaches when the system's solver has none yet (defaults 1024

@@ -278,12 +278,16 @@ func TestTracingDisabled(t *testing.T) {
 // an explain request must not join a plain request's pass (their encoded
 // responses differ), while two explain requests still share one.
 func TestExplainPassCoordinate(t *testing.T) {
-	_, plainKey := planJob{strategy: "flexsp", lens: testBatch}.key()
-	_, explainKey := planJob{strategy: "flexsp", lens: testBatch, explain: true}.key()
+	key := func(j planJob) uint64 {
+		j.sig, j.sigKey = solver.Signature(j.lens)
+		return j.key()
+	}
+	plainKey := key(planJob{strategy: "flexsp", lens: testBatch})
+	explainKey := key(planJob{strategy: "flexsp", lens: testBatch, explain: true})
 	if plainKey == explainKey {
 		t.Fatal("explain and plain requests share a coalescing key")
 	}
-	_, again := planJob{strategy: "flexsp", lens: testBatch, explain: true}.key()
+	again := key(planJob{strategy: "flexsp", lens: testBatch, explain: true})
 	if explainKey != again {
 		t.Fatal("identical explain requests do not share a key")
 	}

@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"flexsp/internal/solver"
 )
 
 // envelopeCache keeps the pre-encoded bytes of recently served /v2/plan
@@ -157,8 +155,7 @@ func (s *Server) storeEnvelope(job planJob, body []byte) {
 	if n := len(body); n > 0 && body[n-1] == '\n' {
 		body = body[:n-1]
 	}
-	sig, sigKey := solver.Signature(job.lens)
-	s.envelopes.put(envelopeKey(sigKey, job.strategy, job.maxCtx, job.explain), sig, st.snap.Version, body)
+	s.envelopes.put(job.key(), job.sig, st.snap.Version, body)
 }
 
 // handleCacheFetch serves GET /v2/cache/{sig}: the peer-fetch tier of the

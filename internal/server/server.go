@@ -115,10 +115,10 @@ type Config struct {
 	// (the empty tenant is one shared bucket). Default 16.
 	TenantLimit int
 	// BatchWindow is how long the first request for a signature waits for
-	// compatible requests to coalesce with before solving. Zero takes the
-	// 2ms default; negative disables the wait, leaving pure singleflight
-	// (no added latency, but only requests overlapping an in-flight solve
-	// coalesce).
+	// compatible requests to coalesce with before solving. Zero (the
+	// default) and negative values add no wait: identical requests still
+	// coalesce while a pass is solving, which is where almost all of the
+	// coalescing happens.
 	BatchWindow time.Duration
 	// TraceEntries bounds the ring of completed request traces behind
 	// GET /v2/trace/{id}. Zero takes the default 64; negative disables
@@ -225,10 +225,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.TenantLimit <= 0 {
 		cfg.TenantLimit = 16
 	}
-	switch {
-	case cfg.BatchWindow == 0:
-		cfg.BatchWindow = 2 * time.Millisecond
-	case cfg.BatchWindow < 0:
+	if cfg.BatchWindow < 0 {
 		cfg.BatchWindow = 0
 	}
 	if cfg.StreamLimit <= 0 {
@@ -451,7 +448,7 @@ func (s *Server) Draining() bool {
 // statusClientGone is nginx's 499 "client closed request": every member of
 // the pass disconnected, so the solve was abandoned and nobody reads the
 // response. It must be non-zero — status 0 marks an abandoned-before-solve
-// pass that joiners retry.
+// pass. A still-connected joiner that sees either retries as its own opener.
 const statusClientGone = 499
 
 // planFlexSP is the built-in flexsp strategy: one solve on the current plan
@@ -660,6 +657,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, b *batcher, j
 	}
 
 	admitted := time.Now()
+	job.ver = s.topologyVersion()
 	body, code, members, joined, err := b.do(ctx, job)
 	elapsed := time.Since(admitted)
 	finish := func(code int) {

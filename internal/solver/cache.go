@@ -27,6 +27,14 @@ import (
 // serialize on a single mutex. Hash collisions are detected by comparing the
 // stored signature. Hit/miss/dedup/eviction counters are exposed via Stats
 // and Metrics.
+//
+// Beside plans the cache keeps infeasibility verdicts: micro-batches the
+// planner answered with planner.ErrInfeasible, keyed by their exact
+// signature (Signature). A rounded key cannot carry a verdict — a shorter
+// multiset with the same rounded signature may fit — and a verdict cannot be
+// re-validated like a plan, so it binds the cache to the planner that
+// produced it: a PlanCache belongs to one Solver. Verdicts share the shards'
+// LRU order and entry limit with plans.
 type PlanCache struct {
 	granularity int
 	shardLimit  int
@@ -42,15 +50,19 @@ type PlanCache struct {
 const cacheShards = 16
 
 type cacheShard struct {
-	mu      sync.Mutex
-	entries map[uint64]*list.Element
-	lru     list.List // front = most recently used
+	mu       sync.Mutex
+	entries  map[uint64]*list.Element // plans, by rounded signature
+	verdicts map[uint64]*list.Element // infeasibility verdicts, by exact signature
+	lru      list.List                // both kinds; front = most recently used
 }
 
 type cacheEntry struct {
 	key  uint64
-	sig  []int32 // rounded sorted signature, for collision detection
+	sig  []int32 // rounded (plan) or exact (verdict) sorted signature, for collision detection
 	plan planner.MicroPlan
+	// err is the planner's infeasibility error for a verdict entry, nil for
+	// a plan entry.
+	err error
 }
 
 // NewPlanCache creates a cache holding at most limit entries (default 1024)
@@ -79,6 +91,7 @@ func NewPlanCache(limit, granularity int) *PlanCache {
 	}
 	for i := range pc.shards {
 		pc.shards[i].entries = make(map[uint64]*list.Element)
+		pc.shards[i].verdicts = make(map[uint64]*list.Element)
 	}
 	return pc
 }
@@ -262,21 +275,53 @@ func (pc *PlanCache) getWithSig(c PlanCost, lens []int, sig []int32, key uint64)
 // Put stores a plan under the micro-batch's signature.
 func (pc *PlanCache) Put(lens []int, p planner.MicroPlan) {
 	sig, key := pc.signature(lens)
+	pc.shard(key).put(pc, key, &cacheEntry{key: key, sig: sig, plan: p})
+}
+
+// putInfeasible records the planner's infeasibility error for the exact
+// signature sig (hash key) of a micro-batch.
+func (pc *PlanCache) putInfeasible(sig []int32, key uint64, err error) {
+	pc.shard(key).put(pc, key, &cacheEntry{key: key, sig: sig, err: err})
+}
+
+// infeasible returns the recorded infeasibility error for the exact
+// signature sig (hash key), nil when there is none. Like Contains it counts
+// no hit or miss.
+func (pc *PlanCache) infeasible(sig []int32, key uint64) error {
 	sh := pc.shard(key)
 	sh.mu.Lock()
-	if el, ok := sh.entries[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		ent.sig, ent.plan = sig, p
+	defer sh.mu.Unlock()
+	el, ok := sh.verdicts[key]
+	if !ok || !SigsEqual(el.Value.(*cacheEntry).sig, sig) {
+		return nil
+	}
+	sh.lru.MoveToFront(el)
+	return el.Value.(*cacheEntry).err
+}
+
+// put inserts or replaces an entry in the map of its kind, evicting the
+// shard's least recently used entry of either kind past the limit.
+func (sh *cacheShard) put(pc *PlanCache, key uint64, ent *cacheEntry) {
+	sh.mu.Lock()
+	m := sh.entries
+	if ent.err != nil {
+		m = sh.verdicts
+	}
+	if el, ok := m[key]; ok {
+		el.Value = ent
 		sh.lru.MoveToFront(el)
 		sh.mu.Unlock()
 		return
 	}
-	sh.entries[key] = sh.lru.PushFront(&cacheEntry{key: key, sig: sig, plan: p})
+	m[key] = sh.lru.PushFront(ent)
 	var evicted bool
 	if sh.lru.Len() > pc.shardLimit {
-		oldest := sh.lru.Back()
-		sh.lru.Remove(oldest)
-		delete(sh.entries, oldest.Value.(*cacheEntry).key)
+		oldest := sh.lru.Remove(sh.lru.Back()).(*cacheEntry)
+		if oldest.err != nil {
+			delete(sh.verdicts, oldest.key)
+		} else {
+			delete(sh.entries, oldest.key)
+		}
 		evicted = true
 	}
 	sh.mu.Unlock()

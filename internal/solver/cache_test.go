@@ -1,7 +1,9 @@
 package solver
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"flexsp/internal/cluster"
@@ -177,5 +179,63 @@ func TestSolverWithCacheMatchesWithout(t *testing.T) {
 		if n != 0 {
 			t.Fatalf("sequence %d unbalanced by %d", l, n)
 		}
+	}
+}
+
+// TestInfeasibleVerdictCached pins that the plan cache remembers micro-batches
+// the planner found infeasible: the serving benchmark's recurring batch whose
+// trial window holds one (the seventh batch of a seed-1 CommonCrawl pool of
+// 128-sequence, 192K-context batches on 64 GPUs) re-solves to the identical
+// Result without reaching the planner again.
+func TestInfeasibleVerdictCached(t *testing.T) {
+	c := costmodel.Profile(costmodel.GPT7B, cluster.A100Cluster(64))
+	rng := rand.New(rand.NewSource(1))
+	var batch []int
+	for i := 0; i <= 6; i++ {
+		batch = workload.CommonCrawl().Batch(rng, 128, 192<<10)
+	}
+	s := New(planner.New(c))
+	s.Cache = NewPlanCache(0, 0)
+	first, err := s.Solve(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	infeasible := false
+	for _, tr := range first.Trials {
+		infeasible = infeasible || tr.Note == planner.ErrInfeasible.Error()
+	}
+	if !infeasible {
+		t.Fatalf("no trial hit an infeasible micro-batch: %+v", first.Trials)
+	}
+	planned := s.Metrics().Planned
+	second, err := s.Solve(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := s.Metrics().Planned - planned; d != 0 {
+		t.Fatalf("second solve planned %d micro-batches, want 0", d)
+	}
+	first.SolveWall, second.SolveWall = 0, 0
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("second solve differs:\n%+v\n%+v", first, second)
+	}
+}
+
+// TestInfeasibleVerdictExactSignature pins that verdicts are keyed by the
+// exact multiset: a batch that rounds to a recorded verdict's signature but
+// differs in its lengths gets no verdict.
+func TestInfeasibleVerdictExactSignature(t *testing.T) {
+	pc := NewPlanCache(0, 256)
+	sig, key := Signature([]int{1000, 2000})
+	pc.putInfeasible(sig, key, planner.ErrInfeasible)
+	if err := pc.infeasible(sig, key); !errors.Is(err, planner.ErrInfeasible) {
+		t.Fatalf("recorded verdict not returned: %v", err)
+	}
+	near, nearKey := Signature([]int{999, 2000})
+	if err := pc.infeasible(near, nearKey); err != nil {
+		t.Fatalf("verdict leaked to a different multiset: %v", err)
+	}
+	if pc.Contains([]int{1000, 2000}) {
+		t.Fatal("a verdict reads as a cached plan")
 	}
 }

@@ -16,6 +16,7 @@ package solver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -433,12 +434,14 @@ func (s *Solver) solve(ctx context.Context, batch []int, warm *warmState) (Resul
 
 // planOne plans one micro-batch through the warm store, the cache and the
 // in-flight deduplication: a streaming session's warm store returns memoized
-// plans verbatim, cache hits return retargeted plans, concurrent identical
-// signatures are planned once (singleflight, so the trials for M and M+1
-// never plan the same bucketed batch twice), and everything else goes to
-// the planner. Every successful outcome is recorded back into a non-nil
-// warm state, and speculative solves withhold their plans from the shared
-// cache (see stream.go for why both matter for byte-identity).
+// plans verbatim, cache hits return retargeted plans, a recorded
+// infeasibility verdict returns the planner's error again, concurrent
+// identical signatures are planned once (singleflight, so the trials for M
+// and M+1 never plan the same bucketed batch twice), and everything else
+// goes to the planner. Every successful outcome is recorded back into a
+// non-nil warm state, and speculative solves withhold their plans and
+// verdicts from the shared cache (see stream.go for why both matter for
+// byte-identity).
 func (s *Solver) planOne(ctx context.Context, flights *flightGroup, lens []int, warm *warmState) (planner.MicroPlan, error) {
 	ctx, span := obs.Start(ctx, "solver.micro")
 	defer span.End()
@@ -470,6 +473,16 @@ func (s *Solver) planOne(ctx context.Context, flights *flightGroup, lens []int, 
 			span.SetAttr("tier", "cache-hit")
 			return record(p, nil)
 		}
+		// A miss may be a micro-batch already known not to fit: verdicts
+		// live under the exact signature, probed only after the rounded
+		// miss so hits pay nothing for them.
+		if wsig == nil {
+			wsig, wkey = Signature(lens)
+		}
+		if err := s.Cache.infeasible(wsig, wkey); err != nil {
+			span.SetAttr("tier", "cache-infeasible")
+			return planner.MicroPlan{}, err
+		}
 		// Singleflight on the cache's rounded signature: the leader plans
 		// and fills the cache, waiters re-read it and retarget.
 		f, leader := flights.start(key, sig)
@@ -481,11 +494,19 @@ func (s *Solver) planOne(ctx context.Context, flights *flightGroup, lens []int, 
 				span.SetAttr("tier", "dedup")
 				return record(p, nil)
 			}
+			if err := s.Cache.infeasible(wsig, wkey); err != nil {
+				s.Cache.noteDedup()
+				s.stats.deduped.Add(1)
+				span.SetAttr("tier", "dedup")
+				return planner.MicroPlan{}, err
+			}
 			// Leader failed (or withheld its plan speculatively) or the
 			// retarget was rejected; plan independently.
 			s.stats.planned.Add(1)
 			span.SetAttr("tier", "planned")
-			return record(s.Planner.PlanContext(ctx, lens))
+			p, err := s.Planner.PlanContext(ctx, lens)
+			s.noteInfeasible(ctx, wsig, wkey, warm, err)
+			return record(p, err)
 		}
 		s.stats.planned.Add(1)
 		span.SetAttr("tier", "planned")
@@ -493,6 +514,7 @@ func (s *Solver) planOne(ctx context.Context, flights *flightGroup, lens []int, 
 		if err == nil && (warm == nil || !warm.speculative) {
 			s.Cache.Put(lens, p)
 		}
+		s.noteInfeasible(ctx, wsig, wkey, warm, err)
 		flights.finish(key, f, p, err)
 		return record(p, err)
 	}
@@ -516,4 +538,14 @@ func (s *Solver) planOne(ctx context.Context, flights *flightGroup, lens []int, 
 	p, err := s.Planner.PlanContext(ctx, lens)
 	flights.finish(key, f, p, err)
 	return record(p, err)
+}
+
+// noteInfeasible records a planner's infeasibility verdict for the exact
+// signature wsig (hash wkey) in the plan cache. Like plans, verdicts from
+// speculative solves are withheld; a verdict reached under a canceled
+// context is not trusted (a MILP cut short reports infeasible).
+func (s *Solver) noteInfeasible(ctx context.Context, wsig []int32, wkey uint64, warm *warmState, err error) {
+	if errors.Is(err, planner.ErrInfeasible) && ctx.Err() == nil && (warm == nil || !warm.speculative) {
+		s.Cache.putInfeasible(wsig, wkey, err)
+	}
 }
